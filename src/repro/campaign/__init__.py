@@ -58,11 +58,8 @@ from repro.campaign.runner import (
     CampaignResult,
     CampaignRunner,
     PointConfigError,
-    base_point_from_args,
     canonical_campaign_json,
-    default_fields,
     normalize_point,
-    point_to_argv,
     run_point,
 )
 from repro.campaign.serve import (
@@ -86,7 +83,6 @@ __all__ = [
     "SweepSpec",
     "SweepSpecError",
     "WarmPool",
-    "base_point_from_args",
     "campaign_rows",
     "campaign_summary",
     "campaign_table",
@@ -94,7 +90,6 @@ __all__ = [
     "canonical_campaign_json",
     "canonical_json",
     "code_fingerprint",
-    "default_fields",
     "dump_campaign_json",
     "fingerprint_sources",
     "get_shared_pool",
@@ -102,7 +97,6 @@ __all__ = [
     "normalize_point",
     "pick_start_method",
     "plan_batches",
-    "point_to_argv",
     "results_by_config",
     "run_batch",
     "run_point",

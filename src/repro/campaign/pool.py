@@ -8,9 +8,9 @@ task shipped the fully-resolved ~30-field config.  This module fixes the
 cost model:
 
 - **Warm workers** — the pool prefers the ``forkserver`` start method
-  and preloads :mod:`repro.campaign._preload` into the fork server, so
-  each worker forks already holding a fully-imported simulator; on
-  platforms without ``forkserver`` the ``spawn`` fallback pays the
+  and preloads :mod:`repro.campaign.runner` (and through it the whole
+  simulator) into the fork server, so each worker forks already warm;
+  on platforms without ``forkserver`` the ``spawn`` fallback pays the
   import once per worker *lifetime* via the pool initializer.
 - **Persistent fleets** — :func:`get_shared_pool` hands out one
   process-wide :class:`WarmPool` that survives across sweeps (and
@@ -40,8 +40,9 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 #: Modules imported into the forkserver parent before the first fork, so
-#: every forked worker starts warm (see repro/campaign/_preload.py).
-PRELOAD_MODULES = ("repro.campaign._preload",)
+#: every forked worker starts warm: the default executor and, through
+#: it, the whole simulator.
+PRELOAD_MODULES = ("repro.campaign.runner",)
 
 
 def pick_start_method() -> str:
@@ -58,7 +59,7 @@ def pick_start_method() -> str:
 
 def warm_worker() -> None:
     """Pool initializer: runs once per worker process, imports the world."""
-    import repro.campaign._preload  # noqa: F401
+    import repro.campaign.runner  # noqa: F401
 
 
 def error_record(exc: BaseException) -> Dict[str, Any]:
@@ -115,7 +116,7 @@ def run_batch(
         point.update(overrides)
         try:
             out.append((index, {"ok": True, "result": executor(point)}))
-        except (Exception, SystemExit) as exc:  # noqa: BLE001 - error record
+        except Exception as exc:  # noqa: BLE001 - error record
             out.append((index, {"ok": False, "error": error_record(exc)}))
     return out
 

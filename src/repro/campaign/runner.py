@@ -2,9 +2,9 @@
 
 A :class:`CampaignRunner` takes a :class:`~repro.campaign.spec.SweepSpec`,
 expands it, and executes every point through an *executor* — by default
-:func:`run_point`, which replays the point through the real ``repro run``
-argument parser and :func:`repro.cli.simulate_from_args`, so a sweep
-point is exactly a CLI invocation.
+:func:`run_point`, which builds the point's :class:`~repro.runspec.RunSpec`
+and runs :meth:`~repro.runspec.RunSpec.simulate`, the execution path of
+``repro run``, so a sweep point is exactly a CLI invocation.
 
 Execution contract:
 
@@ -35,9 +35,7 @@ Execution contract:
 
 from __future__ import annotations
 
-from contextlib import redirect_stderr
-from dataclasses import dataclass, field
-from io import StringIO
+from dataclasses import dataclass, field, fields
 from typing import (
     Any,
     Callable,
@@ -53,7 +51,9 @@ from typing import (
 
 from repro.campaign.cache import RunCache
 from repro.campaign.pool import error_record as _error_record
+from repro.campaign.pool import run_batch
 from repro.campaign.spec import SweepSpec, SweepSpecError, canonical_json
+from repro.runspec import PointConfigError, RunSpec
 from repro.telemetry import MetricsRegistry
 
 CAMPAIGN_SCHEMA_VERSION = 1
@@ -63,126 +63,32 @@ class CampaignError(RuntimeError):
     """A campaign aborted (fail-fast point failure or broken pool)."""
 
 
-class PointConfigError(ValueError):
-    """A sweep point does not form a valid run configuration."""
-
-
 # -- the default executor: one point == one `repro run` invocation ---------------------
 
-
-def _dims_csv(value: Any) -> str:
-    """Canonical comma-list form for bandwidths/latencies fields."""
-    if isinstance(value, (list, tuple)):
-        return ",".join(format(float(v), "g") for v in value)
-    if value in ("", None):
-        return ""
-    return ",".join(format(float(v), "g") for v in str(value).split(","))
-
-
-def _bool(value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return bool(value)
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off", ""):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
-
-
-def _faults_list(value: Any) -> Optional[List[str]]:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return [value]
-    return [str(v) for v in value]
-
-
-def _opt_int(value: Any) -> Optional[int]:
-    return None if value is None else int(value)
-
-
-#: Sweepable fields of the default executor and their normalizers; the
-#: names mirror the ``repro run`` flags with dashes as underscores.
-FIELD_TYPES: Dict[str, Callable[[Any], Any]] = {
-    "topology": str,
-    "bandwidths": _dims_csv,
-    "latencies": _dims_csv,
-    "workload": str,
-    "model": str,
-    "model_json": str,
-    "batch": int,
-    "seq_len": int,
-    "payload_mib": float,
-    "scheduler": str,
-    "backend": str,
-    "packet_bytes": int,
-    "train_packets": int,
-    "granularity": str,
-    "escalation_threshold": float,
-    "deescalation_hysteresis": float,
-    "chunks": int,
-    "mp": int,
-    "dp": int,
-    "pp": int,
-    "ep": int,
-    "microbatches": int,
-    "peak_tflops": float,
-    "hbm_gbps": float,
-    "memory_model": str,
-    "fabric_bw_gbps": float,
-    "group_bw_gbps": float,
-    "remote_path_gbps": float,
-    "inswitch": _bool,
-    "faults": _faults_list,
-    "fault_seed": _opt_int,
-    "checkpoint_interval_ms": float,
-    "checkpoint_gib": float,
-    "trace_level": str,
-    "check_invariants": _bool,
-}
-
-_default_fields_cache: Optional[Dict[str, Any]] = None
-
-
-def default_fields() -> Dict[str, Any]:
-    """Default value of every sweepable field, from the real CLI parser.
-
-    Parsing a dummy ``run`` command keeps campaign defaults in lockstep
-    with the CLI's — a flag default changed in one place changes both.
-    """
-    global _default_fields_cache
-    if _default_fields_cache is None:
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["run", "--topology", "Ring(2)", "--bandwidths", "1"])
-        fields = {name: getattr(args, name) for name in FIELD_TYPES}
-        fields["topology"] = ""
-        fields["bandwidths"] = ""
-        _default_fields_cache = fields
-    return dict(_default_fields_cache)
+#: Every RunSpec field's default and point-value normalizer, by name.
+_DEFAULTS = {f.name: f.default for f in fields(RunSpec)}
+_NORMALIZERS = {f.name: f.metadata["normalize"] for f in fields(RunSpec)}
 
 
 def normalize_point(point: Mapping[str, Any]) -> Dict[str, Any]:
     """A fully-resolved, canonically-typed config for one run.
 
-    Fills every field the default executor knows with the CLI default,
-    applies the field's type conversion (so ``"64"`` from a ``--grid``
-    axis and ``64`` from the Python API hash identically in the run
-    cache), and rejects unknown fields.
+    Fills every :class:`~repro.runspec.RunSpec` field the point leaves
+    out with its default, applies the field's normalizer (so ``"64"``
+    from a ``--grid`` axis and ``64`` from the Python API hash
+    identically in the run cache), and rejects unknown fields.  Choices
+    are checked later, when the point runs, so a bad choice becomes that
+    point's error record.
     """
-    unknown = sorted(set(point) - set(FIELD_TYPES))
+    unknown = sorted(set(point) - _NORMALIZERS.keys())
     if unknown:
         raise PointConfigError(
             f"unknown sweep field(s) {unknown}; valid fields: "
-            + ", ".join(sorted(FIELD_TYPES)))
-    resolved = default_fields()
+            + ", ".join(sorted(_NORMALIZERS)))
+    resolved = dict(_DEFAULTS)
     for name, value in point.items():
         try:
-            resolved[name] = FIELD_TYPES[name](value)
+            resolved[name] = _NORMALIZERS[name](value)
         except (TypeError, ValueError) as exc:
             raise PointConfigError(
                 f"field {name!r}: cannot interpret {value!r} ({exc})")
@@ -193,78 +99,22 @@ def normalize_point(point: Mapping[str, Any]) -> Dict[str, Any]:
     return resolved
 
 
-def point_to_argv(point: Mapping[str, Any]) -> List[str]:
-    """The ``repro run`` argument vector equivalent to a resolved point."""
-    resolved = normalize_point(point)
-    argv: List[str] = []
-    for name, value in resolved.items():
-        flag = "--" + name.replace("_", "-")
-        if name in ("inswitch", "check_invariants"):
-            if value:
-                argv.append(flag)
-        elif name == "faults":
-            for spec_text in value or ():
-                argv.extend([flag, spec_text])
-        elif name == "fault_seed":
-            if value is not None:
-                argv.extend([flag, str(value)])
-        elif name in ("latencies", "model", "model_json"):
-            if value:
-                argv.extend([flag, value])
-        else:
-            argv.extend([flag, str(value)])
-    return argv
-
-
 def run_point(point: Mapping[str, Any]) -> Dict[str, Any]:
-    """Default executor: simulate one point via the ``repro run`` path.
+    """Default executor: simulate one point as ``repro run`` would.
 
     Returns the schema-v2 ``result_to_dict`` payload.  Runs in worker
     processes, so everything it touches must be importable there.
     """
-    from repro.cli import build_parser, simulate_from_args
     from repro.stats.export import result_to_dict
 
-    argv = ["run"] + point_to_argv(point)
-    capture = StringIO()
-    try:
-        with redirect_stderr(capture):
-            args = build_parser().parse_args(argv)
-        _topology, result, _resilience = simulate_from_args(args)
-    except SystemExit as exc:
-        # argparse/validation failures surface as SystemExit; convert to a
-        # real exception so the error record carries the message.
-        message = str(exc) if str(exc) not in ("", "2") else ""
-        raise PointConfigError(
-            (message or capture.getvalue().strip() or "invalid run "
-             "configuration")) from None
-    return result_to_dict(result)
+    run = RunSpec(**normalize_point(point)).simulate()
+    return result_to_dict(run.result)
 
 
 run_point.normalize = normalize_point  # type: ignore[attr-defined]
 
 
-def base_point_from_args(args) -> Dict[str, Any]:
-    """The base config dict from a parsed ``sweep`` command namespace."""
-    base = {}
-    for name in FIELD_TYPES:
-        value = getattr(args, name)
-        if name in ("topology", "bandwidths", "latencies") and not value:
-            continue  # may come from a sweep axis; keep the base sparse
-        base[name] = value
-    return base
-
-
 # -- pool plumbing ---------------------------------------------------------------------
-
-
-def _pool_task(executor: Callable[[Mapping[str, Any]], Dict[str, Any]],
-               point: Mapping[str, Any]) -> Dict[str, Any]:
-    """Execute one point, converting failures to structured outcomes."""
-    try:
-        return {"ok": True, "result": executor(point)}
-    except (Exception, SystemExit) as exc:  # noqa: BLE001 - error record
-        return {"ok": False, "error": _error_record(exc)}
 
 
 def _wait_any(futures: Sequence) -> set:
@@ -512,7 +362,7 @@ class CampaignRunner:
         self, points: Sequence[Mapping[str, Any]], pending: Sequence[int],
     ) -> Iterator[Tuple[int, Dict[str, Any]]]:
         for index in pending:
-            yield index, _pool_task(self.executor, points[index])
+            yield from run_batch(self.executor, {}, [(index, points[index])])
 
     # -- warm-fleet path ---------------------------------------------------------
 
@@ -536,7 +386,6 @@ class CampaignRunner:
             WarmPool,
             get_shared_pool,
             plan_batches,
-            run_batch,
             shutdown_shared_pool,
             split_common_base,
         )

@@ -9,9 +9,10 @@ across clients.  Stdlib only (:class:`http.server.ThreadingHTTPServer`)
 
 Endpoints:
 
-- ``POST /run`` — body: a JSON object of sweep-point fields (the same
-  fields ``repro run`` flags expose, e.g. ``{"topology": "Ring(4)",
-  "bandwidths": "100", "workload": "allreduce"}``).  Response: the
+- ``POST /run`` — body: a JSON object of
+  :class:`~repro.runspec.RunSpec` fields (the ``repro run`` flags, e.g.
+  ``{"topology": "Ring(4)", "bandwidths": "100", "workload":
+  "allreduce"}``).  Response: the
   schema-v2 ``result_to_dict`` document, bit-identical to an in-process
   run of the same config; ``X-Repro-Cache: hit|miss`` reports dedup.
 - ``POST /sweep`` — body: a :class:`~repro.campaign.spec.SweepSpec`
@@ -28,12 +29,15 @@ Endpoints:
 Backpressure: a bounded admission gate caps requests in flight; beyond
 ``queue_depth`` the daemon answers ``429 Too Many Requests`` with a
 ``Retry-After`` header instead of queueing unboundedly — saturated
-fleets shed load rather than stack it.
+fleets shed load rather than stack it.  Every socket operation times out
+after :attr:`_RequestHandler.timeout` seconds, so a client that stalls
+mid-request cannot hold an admission slot for good.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -173,6 +177,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.0"
     server_version = "repro-serve/%d" % SERVE_SCHEMA_VERSION
+    #: Seconds any one socket read or write may block (a stalled client).
+    timeout = 30.0
     server: ReproServer  # narrowed for type checkers
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -193,14 +199,24 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise PointConfigError(f"malformed Content-Length {header!r}")
+        if length == 0:
             raise PointConfigError("empty request body; expected JSON")
         if length > self.server.config.max_body_bytes:
             raise PointConfigError(
                 f"request body of {length} bytes exceeds the "
                 f"{self.server.config.max_body_bytes}-byte limit")
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except socket.timeout:
+            raise PointConfigError(
+                f"request body not received within {self.timeout:g} s")
         try:
             return json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -351,9 +367,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except CampaignError as exc:
             server.count("http_errors", endpoint="sweep")
             self.wfile.write(_canon({"aborted": str(exc)}))
-        except (BrokenPipeError, ConnectionResetError):
-            # Client went away mid-stream; runner.stream's close() has
-            # already cancelled its outstanding batches.
+        except (BrokenPipeError, ConnectionResetError, socket.timeout):
+            # Client went away (or stopped reading) mid-stream;
+            # runner.stream's close() has already cancelled its
+            # outstanding batches.
             server.count("http_disconnects", endpoint="sweep")
         except Exception as exc:  # noqa: BLE001 - daemon must not die
             server.count("http_errors", endpoint="sweep")

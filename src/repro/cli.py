@@ -21,371 +21,37 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional, Tuple
 
 import repro
+from repro.runspec import (
+    PointConfigError,
+    RunSpec,
+    build_topology,
+    ingest_graph,
+    plan_graph,
+)
 from repro.stats import format_breakdown_table
 from repro.trace.analysis import summarize
-from repro.workload import (
-    ParallelismSpec,
-    dlrm_paper,
-    generate_data_parallel,
-    generate_dlrm,
-    generate_fsdp,
-    generate_megatron_hybrid,
-    generate_moe,
-    generate_pipeline_parallel,
-    generate_single_collective,
-    gpt3_175b,
-    moe_1t,
-    transformer_1t,
-)
-
-WORKLOADS = ("allreduce", "alltoall", "gpt3", "transformer1t", "dlrm",
-             "fsdp-gpt3", "dp-gpt3", "pp-gpt3", "moe1t")
-
-MEMORY_MODELS = ("local", "hiermem", "zero-infinity")
-
-
-def _parse_floats(text: str) -> List[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise SystemExit(f"error: not a comma-separated float list: {text!r}")
-
-
-def _build_topology(args: argparse.Namespace):
-    if not args.topology or not args.bandwidths:
-        raise SystemExit(
-            "error: --topology and --bandwidths are required (directly or "
-            "via a sweep axis)")
-    latencies = _parse_floats(args.latencies) if args.latencies else ()
-    bandwidths = _parse_floats(args.bandwidths)
-    num_dims = len([s for s in args.topology.split("_") if s.strip()])
-    if len(bandwidths) != num_dims:
-        raise SystemExit(
-            f"error: --bandwidths lists {len(bandwidths)} value(s) but "
-            f"topology {args.topology!r} has {num_dims} dimension(s); "
-            "give one bandwidth per dimension")
-    if latencies and len(latencies) != num_dims:
-        raise SystemExit(
-            f"error: --latencies lists {len(latencies)} value(s) but "
-            f"topology {args.topology!r} has {num_dims} dimension(s)")
-    try:
-        return repro.parse_topology(args.topology, bandwidths,
-                                    latencies_ns=list(latencies))
-    except repro.TopologyError as exc:
-        raise SystemExit(f"error: {exc}")
-
-
-def _parallel_degrees(args: argparse.Namespace, topology, mp: int, pp: int = 1):
-    """Validate mp/pp against the NPU count and auto-compute dp."""
-    shard = mp * pp
-    if shard < 1 or topology.num_npus % shard != 0:
-        flags = f"--mp {mp}" + (f" x --pp {pp}" if pp > 1 else "")
-        raise SystemExit(
-            f"error: {flags} does not divide the topology's "
-            f"{topology.num_npus} NPUs; pick degrees whose product divides "
-            "the NPU count")
-    dp = args.dp or topology.num_npus // shard
-    if mp * pp * dp > topology.num_npus:
-        raise SystemExit(
-            f"error: mp x pp x dp = {mp * pp * dp} exceeds the topology's "
-            f"{topology.num_npus} NPUs")
-    return dp
-
-
-def _ingest_from_args(args: argparse.Namespace):
-    """Resolve --model / --model-json (+ shape overrides) into an op graph."""
-    import dataclasses
-    from pathlib import Path
-
-    from repro.frontend import (
-        OPGRAPH_FORMAT,
-        FrontendError,
-        build_op_graph,
-        default_options_for,
-        load_config,
-        opgraph_from_dict,
-        zoo_entry,
-    )
-
-    model = getattr(args, "model", "")
-    model_json = getattr(args, "model_json", "")
-    if model and model_json:
-        raise SystemExit(
-            "error: --model and --model-json are mutually exclusive; give "
-            "one spec source")
-    if not model and not model_json:
-        raise SystemExit(
-            "error: no model spec; give --model NAME or --model-json PATH")
-    try:
-        if model:
-            entry = zoo_entry(model)
-            payload, options = entry.config, entry.options
-        else:
-            payload = load_config(model_json)
-            if payload.get("format") == OPGRAPH_FORMAT:
-                # Explicit op graphs carry their own shapes/costs; the
-                # batch/seq knobs only apply to architecture configs.
-                return opgraph_from_dict(payload)
-            options = default_options_for(payload)
-        overrides = {}
-        if getattr(args, "batch", 0):
-            overrides["batch"] = args.batch
-        if getattr(args, "seq_len", 0):
-            overrides["seq_len"] = args.seq_len
-        if overrides:
-            options = dataclasses.replace(options, **overrides)
-        graph = build_op_graph(payload, options)
-        graph.name = model or (graph.name or Path(model_json).stem)
-        return graph
-    except FrontendError as exc:
-        raise SystemExit(f"error: {exc}")
-
-
-def _frontend_traces(args: argparse.Namespace, topology):
-    """The frontend path of _build_traces: ingest, plan, emit traces."""
-    from repro.frontend import FrontendError, PlanConfig, plan
-
-    graph = _ingest_from_args(args)
-    try:
-        planned = plan(graph, topology, PlanConfig(
-            tp=args.mp, dp=args.dp, pp=args.pp,
-            ep=getattr(args, "ep", 0),
-            microbatches=args.microbatches))
-    except FrontendError as exc:
-        raise SystemExit(f"error: {exc}")
-    args.workload = f"ingest:{graph.name}"
-    return planned.traces
-
-
-def _build_traces(args: argparse.Namespace, topology):
-    if getattr(args, "model", "") or getattr(args, "model_json", ""):
-        return _frontend_traces(args, topology)
-    payload = int(args.payload_mib * (1 << 20))
-    if args.workload == "allreduce":
-        return generate_single_collective(
-            topology, repro.CollectiveType.ALL_REDUCE, payload)
-    if args.workload == "alltoall":
-        return generate_single_collective(
-            topology, repro.CollectiveType.ALL_TO_ALL, payload)
-    if args.workload == "dlrm":
-        return generate_dlrm(dlrm_paper(), topology)
-    if args.workload == "moe1t":
-        return generate_moe(
-            moe_1t(), topology,
-            remote_parameters=args.memory_model != "local",
-            inswitch_collectives=args.inswitch)
-    model = transformer_1t() if args.workload == "transformer1t" else gpt3_175b()
-    if args.workload in ("gpt3", "transformer1t"):
-        mp = args.mp or 16
-        dp = _parallel_degrees(args, topology, mp)
-        return generate_megatron_hybrid(
-            model, topology, ParallelismSpec(mp=mp, dp=dp))
-    if args.workload == "fsdp-gpt3":
-        return generate_fsdp(gpt3_175b(), topology)
-    if args.workload == "dp-gpt3":
-        return generate_data_parallel(gpt3_175b(), topology)
-    if args.workload == "pp-gpt3":
-        mp = args.mp or 1
-        pp = args.pp or 8
-        dp = _parallel_degrees(args, topology, mp, pp)
-        return generate_pipeline_parallel(
-            gpt3_175b(), topology, ParallelismSpec(mp=mp, pp=pp, dp=dp),
-            microbatches=args.microbatches)
-    raise SystemExit(f"unknown workload {args.workload!r}")
-
-
-def _memory_models(args: argparse.Namespace, topology):
-    """Local / remote / fabric memory models from the CLI flags.
-
-    ``hiermem`` derives the pool geometry from the topology the way
-    Table V does: dim 0 is the in-node switch (GPUs per node), one
-    out-node switch per node, one remote memory group per GPU.
-    """
-    from repro.memory.local import LocalMemory
-
-    local = LocalMemory(bandwidth_gbps=args.hbm_gbps)
-    if args.inswitch and args.memory_model != "hiermem":
-        raise SystemExit(
-            "error: --inswitch requires --memory-model hiermem (in-switch "
-            "collectives run inside the pooled fabric)")
-    if args.memory_model == "local":
-        return local, None, None
-    if args.memory_model == "zero-infinity":
-        from repro.memory.zero_infinity import (
-            ZeroInfinityConfig,
-            ZeroInfinityMemory,
-        )
-
-        remote = ZeroInfinityMemory(ZeroInfinityConfig(
-            path_bandwidth_gbps=args.remote_path_gbps,
-            num_gpus=topology.num_npus,
-        ))
-        return local, remote, None
-    from repro.memory.inswitch import InSwitchCollectiveMemory
-    from repro.memory.remote import HierMemConfig, HierarchicalRemoteMemory
-
-    gpus_per_node = topology.dims[0].size
-    num_nodes = topology.num_npus // gpus_per_node
-    pool = HierMemConfig(
-        num_nodes=num_nodes,
-        gpus_per_node=gpus_per_node,
-        num_out_switches=num_nodes,
-        num_remote_groups=topology.num_npus,
-        mem_side_bw_gbps=args.group_bw_gbps,
-        gpu_side_out_bw_gbps=args.fabric_bw_gbps,
-        in_node_bw_gbps=args.fabric_bw_gbps,
-    )
-    return local, HierarchicalRemoteMemory(pool), InSwitchCollectiveMemory(pool)
-
-
-def _checkpoint_config(args: argparse.Namespace, topology):
-    """Build the checkpoint model from CLI flags (None when disabled)."""
-    if not args.checkpoint_interval_ms:
-        return None
-    from repro.faults import CheckpointConfig
-
-    interval_ns = args.checkpoint_interval_ms * 1e6
-    if args.workload in ("gpt3", "transformer1t"):
-        from repro.memory.capacity import transformer_footprint
-
-        model = (transformer_1t() if args.workload == "transformer1t"
-                 else gpt3_175b())
-        mp = args.mp or 16
-        dp = _parallel_degrees(args, topology, mp)
-        footprint = transformer_footprint(model, ParallelismSpec(mp=mp, dp=dp))
-        return CheckpointConfig.from_footprint(footprint, interval_ns)
-    return CheckpointConfig(interval_ns=interval_ns,
-                            snapshot_bytes=args.checkpoint_gib * (1 << 30))
-
-
-def _fault_schedule(args: argparse.Namespace, topology, horizon_ns: float):
-    """Assemble the schedule from --faults specs and/or --fault-seed."""
-    from repro.faults import FaultSchedule, FaultSpecError
-
-    schedules = []
-    try:
-        for text in args.faults or ():
-            schedules.append(FaultSchedule.parse(text))
-    except FaultSpecError as exc:
-        raise SystemExit(f"error: {exc}")
-    if args.fault_seed is not None:
-        schedules.append(FaultSchedule.generate(
-            seed=args.fault_seed,
-            num_npus=topology.num_npus,
-            num_dims=topology.num_dims,
-            horizon_ns=horizon_ns,
-            straggler_mtbf_ns=horizon_ns / 4,
-            stall_mtbf_ns=horizon_ns / 8,
-            degrade_mtbf_ns=horizon_ns / 8,
-            linkdown_mtbf_ns=horizon_ns / 8,
-            straggler_duration_ns=(horizon_ns / 20, horizon_ns / 4),
-            stall_duration_ns=(horizon_ns / 50, horizon_ns / 10),
-            degrade_duration_ns=(horizon_ns / 20, horizon_ns / 4),
-        ))
-    return FaultSchedule.merge(schedules)
-
-
-def _telemetry_config(args: argparse.Namespace):
-    """Build the telemetry config from CLI flags (None when disabled).
-
-    Telemetry activates when metrics are exported (``--metrics-out``) or
-    spans are requested (``--trace-level`` above ``off``); otherwise the
-    run stays on the un-instrumented fast path.
-    """
-    from repro.telemetry import TelemetryConfig, TelemetryError, TraceLevel
-
-    try:
-        level = TraceLevel.parse(args.trace_level)
-    except TelemetryError as exc:
-        raise SystemExit(f"error: {exc}")
-    if (level is TraceLevel.PACKET and args.backend == "analytical"
-            and not getattr(args, "granularity", "")):
-        raise SystemExit(
-            "error: --trace-level packet requires --backend garnet or flow "
-            "(or a --granularity policy; the analytical backend does not "
-            "model individual packets)")
-    if level is TraceLevel.OFF and not getattr(args, "metrics_out", ""):
-        return None
-    return TelemetryConfig(trace_level=level)
-
-
-def _invariants_config(args: argparse.Namespace):
-    """Build the invariant-checker config (None when disabled)."""
-    if not getattr(args, "check_invariants", False):
-        return None
-    from repro.validate import InvariantConfig
-
-    return InvariantConfig(strict=getattr(args, "strict_invariants", False))
 
 
 def simulate_from_args(args: argparse.Namespace) -> Tuple[object, object, object]:
     """Build and run one simulation from parsed ``run`` flags.
 
-    The shared execution path of the ``run`` subcommand and every
-    campaign worker (:mod:`repro.campaign.runner`): identical flag
-    semantics, no printing.  Returns ``(topology, result, resilience)``.
+    Returns ``(topology, result, resilience)``; the execution itself is
+    :meth:`repro.runspec.RunSpec.simulate`, shared with every campaign
+    worker.
     """
-    topology = _build_topology(args)
-    traces = _build_traces(args, topology)
-    local_memory, remote_memory, fabric = _memory_models(args, topology)
-    config = repro.SystemConfig(
-        topology=topology,
-        scheduler=args.scheduler,
-        collective_chunks=args.chunks,
-        network_backend=args.backend,
-        packet_bytes=args.packet_bytes,
-        train_packets=args.train_packets,
-        granularity=getattr(args, "granularity", ""),
-        escalation_threshold=getattr(args, "escalation_threshold", 4.0),
-        deescalation_hysteresis=getattr(
-            args, "deescalation_hysteresis", 1.0),
-        compute=repro.RooflineCompute(
-            peak_tflops=args.peak_tflops,
-            mem_bandwidth_gbps=args.hbm_gbps,
-        ),
-        local_memory=local_memory,
-        remote_memory=remote_memory,
-        fabric_collectives=fabric,
-        telemetry=_telemetry_config(args),
-        invariants=_invariants_config(args),
-        folding=getattr(args, "folding", "auto"),
-    )
-    resilience = None
-    if args.faults or args.fault_seed is not None:
-        if args.backend != "analytical" or getattr(args, "granularity", ""):
-            raise SystemExit(
-                "error: --faults/--fault-seed require --backend analytical "
-                "(and no --granularity policy)")
-        import dataclasses
-
-        # Fault-free baseline: the exact time-lost reference, and the
-        # horizon seeded schedules are drawn over.
-        baseline = repro.simulate(traces, config)
-        schedule = _fault_schedule(args, topology, baseline.total_time_ns)
-        try:
-            config = dataclasses.replace(
-                config, faults=schedule,
-                checkpoint=_checkpoint_config(args, topology))
-            traces = _build_traces(args, topology)  # fresh node state
-            result = repro.simulate(traces, config)
-        except repro.faults.FaultSpecError as exc:
-            raise SystemExit(f"error: {exc}")
-        if result.resilience is not None:
-            result.resilience.baseline_ns = baseline.total_time_ns
-            resilience = result.resilience
-    else:
-        result = repro.simulate(traces, config)
-    return topology, result, resilience
+    return RunSpec.from_args(args).simulate()[:3]
 
 
 def run_from_args(args: argparse.Namespace) -> int:
-    topology, result, resilience = simulate_from_args(args)
+    topology, result, resilience, workload = RunSpec.from_args(
+        args).simulate(collect_metrics=bool(args.metrics_out))
     print(f"topology : {topology.notation()}  ({topology.num_npus} NPUs)")
-    print(f"workload : {args.workload}  scheduler: {args.scheduler}  "
+    print(f"workload : {workload}  scheduler: {args.scheduler}  "
           f"chunks: {args.chunks}")
     print(f"total    : {result.total_time_ms:.3f} ms  "
           f"({result.nodes_executed} nodes, "
@@ -401,7 +67,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"sim rate : {result.simulation_rate_eps:,.0f} events/s  "
               f"({result.wall_time_s:.3f} s wall)")
     print()
-    print(format_breakdown_table({args.workload: result.breakdown}))
+    print(format_breakdown_table({workload: result.breakdown}))
     if resilience is not None:
         print("\nresilience:")
         print(resilience.format())
@@ -455,22 +121,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         CampaignRunner,
         SweepSpec,
         SweepSpecError,
-        base_point_from_args,
         campaign_summary,
         campaign_to_csv,
         campaign_table,
         dump_campaign_json,
     )
 
-    try:
-        spec = SweepSpec.from_cli(base_point_from_args(args),
-                                  args.grid or (), args.zip or ())
-    except SweepSpecError as exc:
-        raise SystemExit(f"error: {exc}")
     if not args.grid and not args.zip:
         raise SystemExit(
             "error: a sweep needs at least one --grid or --zip axis "
             "(use the run subcommand for a single point)")
+    # Empty topology/bandwidths/latencies may come from a sweep axis;
+    # leave them out so the base stays sparse.
+    base = {name: value for name, value
+            in dataclasses.asdict(RunSpec.from_args(args)).items()
+            if value or name not in ("topology", "bandwidths", "latencies")}
     runner = CampaignRunner(
         jobs=args.jobs,
         cache_dir=args.cache_dir or None,
@@ -478,7 +143,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
     )
     try:
-        campaign = runner.run(spec)
+        campaign = runner.run(SweepSpec.from_cli(base, args.grid or (),
+                                                 args.zip or ()))
     except (SweepSpecError, CampaignError) as exc:
         raise SystemExit(f"error: {exc}")
     doc = campaign.to_dict()
@@ -545,18 +211,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if "invariants" in suites:
         # An invariant-checked end-to-end run.  A user-supplied topology
         # becomes the scenario; otherwise a hierarchical default is used.
-        if not args.topology:
-            args.topology, args.bandwidths = "Ring(2)_Switch(4)", "200,50"
-            if args.payload_mib == 1024.0:
-                args.payload_mib = 64.0
-        args.check_invariants = True
-        topology, result, _ = simulate_from_args(args)
-        report = result.invariants
+        spec = dataclasses.replace(RunSpec.from_args(args),
+                                   check_invariants=True)
+        if not spec.topology:
+            spec = dataclasses.replace(
+                spec, topology="Ring(2)_Switch(4)", bandwidths="200,50",
+                payload_mib=(64.0 if spec.payload_mib == 1024.0
+                             else spec.payload_mib))
+        run = spec.simulate()
+        report = run.result.invariants
         doc["invariants"] = report.to_dict()
         status = "ok" if report.ok else "FAIL"
         print(f"invariants  : {status}  ({report.checks} checks, "
               f"{report.violations_total} violations on "
-              f"{topology.notation()}/{args.workload})")
+              f"{run.topology.notation()}/{run.workload})")
         for violation in report.violations[:10]:
             print(f"  [{violation.layer}/{violation.name}] "
                   f"{violation.message}")
@@ -646,11 +314,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         raise SystemExit(
             "error: give a model spec (a zoo name or a JSON path), or "
             "--list-models")
-    if args.spec in zoo_names():
-        args.model, args.model_json = args.spec, ""
-    else:
-        args.model, args.model_json = "", args.spec
-    graph = _ingest_from_args(args)
+    model, model_json = ((args.spec, "") if args.spec in zoo_names()
+                         else ("", args.spec))
+    graph = ingest_graph(model, model_json, args.batch, args.seq_len)
 
     status = 0
     if args.lint:
@@ -686,16 +352,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.emit_traces:
         from pathlib import Path
 
-        from repro.frontend import FrontendError, PlanConfig, plan
         from repro.trace.serialization import save_trace
 
-        topology = _build_topology(args)
-        try:
-            planned = plan(graph, topology, PlanConfig(
-                tp=args.mp, dp=args.dp, pp=args.pp, ep=args.ep,
-                microbatches=args.microbatches))
-        except FrontendError as exc:
-            raise SystemExit(f"error: {exc}")
+        topology = build_topology(args.topology, args.bandwidths,
+                                  args.latencies)
+        planned = plan_graph(graph, topology, tp=args.mp, dp=args.dp,
+                             pp=args.pp, ep=args.ep,
+                             microbatches=args.microbatches)
         out_dir = Path(args.emit_traces)
         out_dir.mkdir(parents=True, exist_ok=True)
         for npu, trace in sorted(planned.traces.items()):
@@ -716,7 +379,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_topology_info(args: argparse.Namespace) -> int:
-    topology = _build_topology(args)
+    topology = build_topology(args.topology, args.bandwidths, args.latencies)
     print(f"{topology.notation()}: {topology.num_npus} NPUs, "
           f"{topology.num_dims} dims, "
           f"{topology.total_bandwidth_gbps():g} GB/s per NPU, "
@@ -729,130 +392,26 @@ def _cmd_topology_info(args: argparse.Namespace) -> int:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    """The simulation-configuration flags shared by ``run`` and ``sweep``.
+    """One flag per :class:`~repro.runspec.RunSpec` field (``run``,
+    ``sweep`` and ``validate``).
 
-    With ``required=False`` (the sweep subcommand) --topology and
-    --bandwidths may instead come from a sweep axis; the per-point
+    With ``required=False`` --topology and --bandwidths may instead come
+    from a sweep axis (or validate's default scenario); the per-point
     validation still insists they resolve somewhere.
     """
-    parser.add_argument("--topology", required=required, default="",
-                        help='shape notation, e.g. "Ring(4)_Switch(8)"')
-    parser.add_argument("--bandwidths", required=required, default="",
-                        help="per-dim GB/s, comma separated")
-    parser.add_argument("--latencies", default="",
-                        help="per-dim ns/hop, comma separated (default 500)")
-    parser.add_argument("--workload", choices=WORKLOADS, default="allreduce")
-    parser.add_argument("--model", default="", metavar="NAME",
-                        help="simulate a frontend zoo model instead of a "
-                             "builtin workload (see: repro ingest "
-                             "--list-models)")
-    parser.add_argument("--model-json", default="", metavar="PATH",
-                        help="ingest an HF-style config.json or repro-opgraph "
-                             "JSON through the frontend and simulate it")
-    parser.add_argument("--batch", type=int, default=0,
-                        help="frontend batch size override (0 = the model "
-                             "family's default)")
-    parser.add_argument("--seq-len", type=int, default=0,
-                        help="frontend sequence length override (0 = the "
-                             "model family's default)")
-    parser.add_argument("--ep", type=int, default=0,
-                        help="expert-parallel degree for frontend models "
-                             "with routed ops (0 = auto)")
-    parser.add_argument("--payload-mib", type=float, default=1024.0,
-                        help="collective payload for allreduce/alltoall")
-    parser.add_argument("--scheduler", choices=("baseline", "themis"),
-                        default="themis")
-    parser.add_argument("--backend", choices=("analytical", "garnet", "flow"),
-                        default="analytical",
-                        help="network backend; on garnet/flow collectives "
-                             "are lowered to explicit send/recv algorithms")
-    parser.add_argument("--packet-bytes", type=int, default=0,
-                        help="packet/segment size for the detailed backends "
-                             "(0 = backend default, 4096)")
-    parser.add_argument("--train-packets", type=int, default=1,
-                        help="garnet packet-train coalescing factor; > 1 "
-                             "trades contention granularity for simulation "
-                             "speed on large payloads")
-    parser.add_argument("--granularity",
-                        choices=("", "fluid", "packet", "adaptive"),
-                        default="",
-                        help="simulation granularity policy: 'fluid' (flow-"
-                             "level), 'packet' (garnet-lite), or 'adaptive' "
-                             "(runtime per-link fluid->packet escalation "
-                             "under contention with hysteresis-based "
-                             "de-escalation); default: --backend decides")
-    parser.add_argument("--escalation-threshold", type=float, default=4.0,
-                        help="adaptive granularity: escalate a link to "
-                             "packet simulation when it carries more than "
-                             "this many concurrent flows (0 = always, "
-                             "inf = never)")
-    parser.add_argument("--deescalation-hysteresis", type=float, default=1.0,
-                        help="adaptive granularity: de-escalate a packet-"
-                             "mode link when its flow count drops to "
-                             "threshold minus this margin or below")
-    parser.add_argument("--folding", choices=("auto", "off"), default="auto",
-                        help="symmetry folding: 'auto' simulates one rank "
-                             "per equivalence class of symmetric ranks and "
-                             "reconstructs the per-rank result bit-"
-                             "identically; 'off' simulates every trace")
-    parser.add_argument("--chunks", type=int, default=16)
-    parser.add_argument("--mp", type=int, default=0)
-    parser.add_argument("--dp", type=int, default=0)
-    parser.add_argument("--pp", type=int, default=0)
-    parser.add_argument("--microbatches", type=int, default=4)
-    parser.add_argument("--peak-tflops", type=float, default=234.0)
-    parser.add_argument("--hbm-gbps", type=float, default=2039.0,
-                        help="local HBM bandwidth (roofline + local memory "
-                             "model)")
-    parser.add_argument("--memory-model", choices=MEMORY_MODELS,
-                        default="local",
-                        help="remote-memory organisation: hiermem pools "
-                             "groups behind switches (Table V), "
-                             "zero-infinity gives each GPU a private slow "
-                             "path")
-    parser.add_argument("--fabric-bw-gbps", type=float, default=256.0,
-                        help="hiermem in-node pooled fabric bandwidth "
-                             "(Table V row 3)")
-    parser.add_argument("--group-bw-gbps", type=float, default=100.0,
-                        help="hiermem remote memory group bandwidth "
-                             "(Table V row 6)")
-    parser.add_argument("--remote-path-gbps", type=float, default=100.0,
-                        help="zero-infinity per-GPU slow-path bandwidth")
-    parser.add_argument("--inswitch", action="store_true",
-                        help="fuse collectives into the pooled memory "
-                             "fabric (moe1t workload; requires "
-                             "--memory-model hiermem)")
-    parser.add_argument("--faults", action="append", metavar="SPEC",
-                        help="inject faults, e.g. 'straggler@npu3:1.5x@t=2ms' "
-                             "(repeatable; ';' separates specs; see "
-                             "repro.faults for the grammar)")
-    parser.add_argument("--fault-seed", type=int, default=None, metavar="SEED",
-                        help="also draw a seeded random fault schedule over "
-                             "the run's fault-free duration (deterministic "
-                             "per seed)")
-    parser.add_argument("--checkpoint-interval-ms", type=float, default=0.0,
-                        help="checkpoint period for the resilience report's "
-                             "restart/replay accounting (0 = no checkpoints)")
-    parser.add_argument("--checkpoint-gib", type=float, default=16.0,
-                        help="per-NPU snapshot size for non-transformer "
-                             "workloads (transformer workloads derive it from "
-                             "the model-state footprint)")
-    parser.add_argument("--trace-level",
-                        choices=("off", "phase", "collective", "chunk",
-                                 "packet"),
-                        default="off",
-                        help="span recording depth for --chrome-trace / "
-                             "--metrics-out (deeper levels record more "
-                             "spans; 'packet' needs a packet-modeling "
-                             "backend)")
-    parser.add_argument("--check-invariants", action="store_true",
-                        help="attach the runtime invariant checker "
-                             "(repro.validate): causality, conservation, "
-                             "and capacity laws verified during the run; "
-                             "violations are reported and fail the command")
-    parser.add_argument("--strict-invariants", action="store_true",
-                        help="with --check-invariants, raise at the first "
-                             "violation instead of collecting a report")
+    for option in dataclasses.fields(RunSpec):
+        meta = option.metadata
+        kwargs = {"default": option.default, "help": meta["help"]}
+        if meta["type"] is bool:
+            kwargs["action"] = "store_true"
+        elif meta["type"] is list:
+            kwargs.update(action="append", metavar=meta["metavar"])
+        else:
+            kwargs.update(type=meta["type"], choices=meta["choices"] or None,
+                          metavar=meta["metavar"])
+        if meta["required"]:
+            kwargs["required"] = required
+        parser.add_argument("--" + option.name.replace("_", "-"), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1006,9 +565,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except PointConfigError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

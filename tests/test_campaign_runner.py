@@ -8,7 +8,6 @@ from repro.campaign import (
     PointConfigError,
     SweepSpec,
     normalize_point,
-    point_to_argv,
 )
 
 SMALL_BASE = {
@@ -55,15 +54,6 @@ class TestNormalization:
     def test_uninterpretable_value_rejected(self):
         with pytest.raises(PointConfigError, match="chunks"):
             normalize_point(dict(SMALL_BASE, chunks="many"))
-
-    def test_point_to_argv_is_parseable_run_command(self):
-        from repro.cli import build_parser
-
-        argv = point_to_argv(dict(SMALL_BASE, inswitch=False))
-        args = build_parser().parse_args(["run"] + argv)
-        assert args.topology == "Ring(4)"
-        assert args.payload_mib == 1.0
-        assert args.inswitch is False
 
 
 class TestSerialExecution:

@@ -8,6 +8,7 @@ backpressure under a saturated queue, and error-path status codes.
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -17,6 +18,7 @@ import pytest
 
 from repro.campaign import ServeConfig, serve_in_thread, shutdown_shared_pool
 from repro.campaign.runner import CampaignRunner, normalize_point, run_point
+from repro.campaign.serve import _RequestHandler
 from repro.campaign.spec import SweepSpec
 
 POINT = {"topology": "Ring(4)", "bandwidths": "100",
@@ -199,6 +201,43 @@ class TestBackpressure:
         with serving(queue_depth=1,
                      executor=blocking_executor) as (base, _server):
             assert post(base + "/run", POINT)[0] == 200
+            assert post(base + "/run", POINT)[0] == 200
+
+
+def raw_post(base, head, body=b"", timeout=10):
+    """POST raw bytes; returns (status, parsed JSON body) once the daemon
+    closes the connection."""
+    host, port = base.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(b"POST /run HTTP/1.0\r\n" + head + b"\r\n\r\n" + body)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    status_line, _, rest = b"".join(chunks).partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.split(b"\r\n\r\n", 1)[1])
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_malformed_content_length_is_400(self, length):
+        with serving() as (base, _server):
+            status, doc = raw_post(base, b"Content-Length: " + length, b"{}")
+        assert status == 400
+        assert doc["error"]["type"] == "PointConfigError"
+        assert "Content-Length" in doc["error"]["message"]
+
+    def test_stalled_client_releases_its_slot(self, monkeypatch):
+        monkeypatch.setattr(_RequestHandler, "timeout", 0.5)
+        with serving(queue_depth=1) as (base, server):
+            # Promises a 100-byte body and never sends it: the read times
+            # out, the request fails, and the only slot is free again.
+            status, doc = raw_post(base, b"Content-Length: 100")
+            assert status == 400
+            assert "not received" in doc["error"]["message"]
+            assert server.gate.inflight == 0
             assert post(base + "/run", POINT)[0] == 200
 
 

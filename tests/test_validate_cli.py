@@ -2,7 +2,7 @@
 
 import json
 
-from repro.campaign.runner import point_to_argv
+from repro.campaign.runner import run_point
 from repro.cli import main
 
 
@@ -78,16 +78,12 @@ class TestRunCheckInvariants:
 
 
 class TestSweepAxis:
-    def test_check_invariants_point_maps_to_flag(self):
-        argv = point_to_argv({
-            "topology": "Ring(4)", "bandwidths": "100",
-            "workload": "allreduce", "payload_mib": 1.0,
-            "check_invariants": True,
-        })
-        assert "--check-invariants" in argv
-        off = point_to_argv({
-            "topology": "Ring(4)", "bandwidths": "100",
-            "workload": "allreduce", "payload_mib": 1.0,
-            "check_invariants": False,
-        })
-        assert "--check-invariants" not in off
+    POINT = {"topology": "Ring(4)", "bandwidths": "100",
+             "workload": "allreduce", "payload_mib": 1.0}
+
+    def test_check_invariants_point_yields_report(self):
+        doc = run_point(dict(self.POINT, check_invariants=True))
+        assert doc["invariants"]["violations_total"] == 0
+        assert doc["invariants"]["checks"] > 0
+        assert "invariants" not in run_point(
+            dict(self.POINT, check_invariants=False))
