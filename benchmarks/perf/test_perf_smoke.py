@@ -67,6 +67,11 @@ PRE_FOLD_32K_SPEEDUP_FLOOR = 20.0
 # tolerance the conformance matrix uses for fluid-vs-packet pairs).
 ADAPTIVE_EVENT_REDUCTION_FLOOR = 3.0
 ADAPTIVE_REL_BAND = 0.02
+# Wall clock on the same scenario, adaptive vs pure packet: the exact
+# incremental max-min solver lifted it from 0.2-0.5 to 0.7-0.9 at the
+# quick size this gate runs (0.3-0.4 to 0.9-1.3 at full size); below
+# 0.5 the fluid side has lost most of that win again.
+ADAPTIVE_WALL_CLOCK_SPEEDUP_FLOOR = 0.5
 
 
 def test_event_kernel_speedup_gates():
@@ -133,26 +138,45 @@ def test_adaptive_granularity_gates():
     assert report["adaptive"]["events"] < report["garnet_lite"]["events"]
 
 
-def _overhead_within_budget(bench, budget, attempts=3):
-    """Run an overhead bench until one attempt lands within budget.
+def test_adaptive_wall_clock_gate():
+    """The fluid side stays cheap: adaptive runs the contended scenario
+    at no less than half of pure packet's speed."""
+    _first_passing(
+        lambda: bench_adaptive(quick=True), "wall_clock_speedup",
+        lambda speedup: speedup >= ADAPTIVE_WALL_CLOCK_SPEEDUP_FLOOR)
 
-    Scheduler interference on a busy runner can only *inflate* the
-    measured overhead (both arms use best-of-repeats with GC off, so
-    there is no mechanism for noise to hide a real cost across every
-    attempt).  A single clean attempt is therefore proof the true
-    overhead is within budget; three sustained-interference attempts in
-    a row is a real regression.
+
+def _first_passing(measure, key, passes, attempts=3):
+    """Measure until one attempt's ``report[key]`` passes.
+
+    Scheduler interference on a busy runner can only make a measured
+    cost *worse* (an inflated overhead, a deflated speedup); there is
+    no mechanism for noise to hide a real cost across every attempt.  A
+    single clean attempt is therefore proof the true figure is within
+    its gate; three sustained-interference attempts in a row is a real
+    regression.
     """
     reports = []
     for _ in range(attempts):
-        report = bench(quick=False, repeats=15)
-        assert report["bit_identical"], report
+        report = measure()
         reports.append(report)
-        if report["overhead"] < budget:
+        if passes(report[key]):
             return report
     raise AssertionError(
-        f"overhead exceeded {budget} on all {attempts} attempts: "
-        f"{[r['overhead'] for r in reports]}")
+        f"{key} failed its gate on all {attempts} attempts: "
+        f"{[r[key] for r in reports]}")
+
+
+def _overhead_within_budget(bench, budget):
+    """Run an overhead bench until one attempt lands within budget (both
+    arms use best-of-repeats with GC off)."""
+    def measure():
+        report = bench(quick=False, repeats=15)
+        assert report["bit_identical"], report
+        return report
+
+    return _first_passing(measure, "overhead",
+                          lambda overhead: overhead < budget)
 
 
 def test_telemetry_overhead_gate():
@@ -244,6 +268,8 @@ def test_committed_baseline_is_fresh_and_complete():
     assert (adaptive["event_reduction"]
             >= ADAPTIVE_EVENT_REDUCTION_FLOOR), adaptive
     assert adaptive["escalations"] > 0, adaptive
+    assert (adaptive["wall_clock_speedup"]
+            >= ADAPTIVE_WALL_CLOCK_SPEEDUP_FLOOR), adaptive
     telemetry = data["telemetry_overhead"]
     assert telemetry["bit_identical"] is True
     assert telemetry["overhead"] < TELEMETRY_OVERHEAD_BUDGET

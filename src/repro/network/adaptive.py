@@ -46,7 +46,6 @@ from repro.network.flowlevel import (
     _FlowLink,
     _SubFlowGroup,
 )
-from repro.network.linkgraph import LazyLinkGraph
 from repro.network.topology import MultiDimTopology
 
 
@@ -116,11 +115,6 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
         self.escalation_threshold = float(escalation_threshold)
         self.deescalation_hysteresis = float(deescalation_hysteresis)
         self.escalation_packet_bytes = int(escalation_packet_bytes)
-        # Rebuild the lazy graph so every link knows its key (telemetry
-        # names residency counters per link, garnet-lite idiom).
-        self._links = LazyLinkGraph(
-            topology, lambda bw, lat: _FlowLink(bw, lat),
-            on_create=lambda key, link: setattr(link, "key", key))
         # id(link) -> state, only for links that have carried traffic.
         self._gran: Dict[int, _LinkGranState] = {}
         # Links currently in packet mode (id set: O(1) membership on the
@@ -315,7 +309,7 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
                 if state.mode == "fluid" and not state.pending:
                     self._pend_transition(link, state)
         self._flush_transitions()
-        self._reallocate()
+        self._reallocate(links)
 
     def _complete_due_flows(self) -> List[_Flow]:
         finished = super()._complete_due_flows()

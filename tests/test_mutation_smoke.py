@@ -33,6 +33,7 @@ from repro.validate import InvariantConfig
 from repro.validate.adaptive import run_adaptive_suite
 from repro.validate.conformance import run_backend_pairs
 from repro.workload.generators import generate_single_collective
+from tests.property.test_property_flowlevel import TIE_AND_CLAMP_CASE, drive
 
 MiB = 1 << 20
 
@@ -71,6 +72,16 @@ def _caught_by_adaptive():
     except Exception:
         return True
     return not report.passed
+
+
+def _caught_by_flow_oracle():
+    """Replay the tie-and-clamp join sequence against the reference
+    progressive filling; any rate off by one bit is caught."""
+    try:
+        net = drive(flowlevel_mod.FlowLevelNetwork, *TIE_AND_CLAMP_CASE)
+    except Exception:
+        return True
+    return bool(net.mismatches or net.moved_outside)
 
 
 def _hiermem_traces():
@@ -255,6 +266,44 @@ class TestAdaptiveControllerMutations:
                             "_deescalate",
                             lambda self, link, state: None)
         assert _caught_by_adaptive()
+
+
+class TestFlowSolverMutations:
+    """Seeded bugs in the incremental max-min solver must be caught by
+    the progressive-filling oracle."""
+
+    def test_unmutated_solver_matches_oracle(self):
+        assert not _caught_by_flow_oracle()
+
+    def test_ties_to_latest_link_caught(self, monkeypatch):
+        # Bug: equal-share bottlenecks resolve to the most recently
+        # materialized link (a `<=` scan), so residuals are charged in a
+        # different order and rates drift by an ulp.
+        original = flowlevel_mod.FlowLevelNetwork._on_link_created
+
+        def mutated(self, key, link):
+            original(self, key, link)
+            link.index = -link.index
+
+        monkeypatch.setattr(flowlevel_mod.FlowLevelNetwork,
+                            "_on_link_created", mutated)
+        assert _caught_by_flow_oracle()
+
+    def test_resolve_only_seed_links_caught(self, monkeypatch):
+        # Bug: the re-solve stops at the changed route instead of
+        # walking its connected component, so links further along the
+        # affected flows no longer constrain them.
+        original = flowlevel_mod.FlowLevelNetwork._component
+
+        def mutated(self, seeds):
+            seeds = list(seeds)
+            keep = {id(link) for link in seeds}
+            return [link for link in original(self, seeds)
+                    if id(link) in keep]
+
+        monkeypatch.setattr(flowlevel_mod.FlowLevelNetwork, "_component",
+                            mutated)
+        assert _caught_by_flow_oracle()
 
 
 class TestMemoryMutations:

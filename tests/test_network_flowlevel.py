@@ -129,6 +129,39 @@ class TestCollectivesOnFlows:
         assert engine.events_processed < 10
 
 
+class TestIncrementalSolver:
+    def test_join_on_one_ring_does_not_visit_the_other(self):
+        """Work counter: the two rings of Ring(4)_Ring(2) (dim-1
+        coordinate 0 and 1) are disjoint, so a join on one ring walks
+        only the flow-link incidences of its own component."""
+        engine, net = _net("Ring(4)_Ring(2)", (100, 100), (0, 0))
+        # Ring A is NPUs 0..3, ring B is NPUs 4..7 (dim 0 varies fastest).
+        for i in range(4):
+            net.sim_send(4 + i, 4 + (i + 2) % 4, 1 << 20, tag=i)  # 2 hops
+        ring_b = [(f, f.rate) for f in net._flows]
+        before = net.solver_flow_visits
+        net.sim_send(0, 1, 1 << 20, tag=9)
+        assert net.solver_flow_visits - before == 1
+        net.sim_send(1, 3, 1 << 20, tag=10)  # 2 hops, disjoint from 0->1
+        assert net.solver_flow_visits - before == 1 + 2
+        net.sim_send(0, 2, 1 << 20, tag=11)  # shares link 0->1
+        assert net.solver_flow_visits - before == 1 + 2 + (2 + 1 + 2)
+        assert all(f.rate == rate for f, rate in ring_b)
+        engine.run()
+        assert net.active_flows == 0
+
+    def test_flows_outside_the_changed_component_keep_their_rates(self):
+        engine, net = _net("Ring(8)", (100,), (0,))
+        net.sim_send(0, 1, 1 << 20, tag=0)
+        net.sim_send(0, 1, 1 << 20, tag=1)
+        net.sim_send(4, 5, 1 << 20, tag=2)
+        assert sorted(f.rate for f in net._flows) == [50.0, 50.0, 100.0]
+        net.sim_send(5, 6, 1 << 20, tag=3)  # touches no 0->1 flow
+        assert [f.rate for f in net._flows] == [50.0, 50.0, 100.0, 100.0]
+        engine.run()
+        assert net.active_flows == 0
+
+
 class TestValidation:
     def test_send_to_self_rejected(self):
         engine, net = _net()

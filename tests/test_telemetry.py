@@ -322,6 +322,7 @@ class TestBackendMetrics:
         result = repro.simulate(self._p2p_traces(topo), config)
         report = result.telemetry
         assert report.metric_value("network", "solver_iterations") > 0
+        assert report.metric_value("network", "solver_flow_visits") > 0
         assert report.spans.by_category().get("flow", 0) > 0
 
     def test_link_metric_cap_exports_drop_count(self):
